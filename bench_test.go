@@ -158,20 +158,7 @@ func BenchmarkBatchCompilation(b *testing.B) { benchkit.BatchCompilation(b) }
 // BenchmarkTEMCombinationSearch measures Algorithm 2's maximal-set
 // enumeration, whose worst case is exponential but is tamed by the
 // preservation filter (the paper's complexity remark).
-func BenchmarkTEMCombinationSearch(b *testing.B) {
-	gens := make([]*ir.Program, 8)
-	bt := types.NewBuiltins()
-	for i := range gens {
-		gens[i] = generator.New(generator.DefaultConfig().WithSeed(int64(i))).Generate()
-	}
-	b.ResetTimer()
-	var tried int
-	for i := 0; i < b.N; i++ {
-		_, report := mutation.TypeErasure(gens[i%len(gens)], bt)
-		tried += report.CombinationsTried
-	}
-	b.ReportMetric(float64(tried)/float64(b.N), "combination-checks")
-}
+func BenchmarkTEMCombinationSearch(b *testing.B) { benchkit.TEMCombinationSearch(b) }
 
 // ----- component benchmarks -----
 //

@@ -38,6 +38,7 @@ func Specs() []Spec {
 		{"TypeCheck", TypeCheck},
 		{"TypeGraph", TypeGraph},
 		{"TEM", TEM},
+		{"TEMCombinationSearch", TEMCombinationSearch},
 		{"TOM", TOM},
 		{"Translate/kotlin", TranslateLang(translate.NewKotlin())},
 		{"Translate/java", TranslateLang(translate.NewJava())},
@@ -110,6 +111,23 @@ func TEM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mutation.TypeErasure(progs[i%len(progs)], bt)
 	}
+}
+
+// TEMCombinationSearch measures Algorithm 2's maximal-set enumeration,
+// whose worst case is exponential but is tamed by the preservation filter
+// (the paper's complexity remark), and reports the preservation checks it
+// runs per program.
+func TEMCombinationSearch(b *testing.B) {
+	progs := benchPrograms(8)
+	bt := types.NewBuiltins()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var tried int
+	for i := 0; i < b.N; i++ {
+		_, report := mutation.TypeErasure(progs[i%len(progs)], bt)
+		tried += report.CombinationsTried
+	}
+	b.ReportMetric(float64(tried)/float64(b.N), "combination-checks")
 }
 
 // TOM measures the full type overwriting mutation.

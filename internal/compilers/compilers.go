@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"regexp"
+	"sync"
 
 	"repro/internal/bugs"
 	"repro/internal/checker"
@@ -171,10 +172,17 @@ func Groovyc() *Compiler {
 	}
 }
 
-// All returns the three simulated compilers in the paper's order.
+// All returns the three simulated compilers in the paper's order. A
+// Compiler is immutable once built, so every campaign in the process
+// shares one set, built on first use; each call returns a fresh slice the
+// caller may filter or reorder.
 func All() []*Compiler {
-	return []*Compiler{Groovyc(), Kotlinc(), Javac()}
+	return append([]*Compiler(nil), shared()...)
 }
+
+var shared = sync.OnceValue(func() []*Compiler {
+	return []*Compiler{Groovyc(), Kotlinc(), Javac()}
+})
 
 func versionsN(prefix string, start, n int) []string {
 	out := make([]string, n)

@@ -352,3 +352,21 @@ func TestCompileBatchContextCancellation(t *testing.T) {
 		t.Error("cancelled batch must surface the context error")
 	}
 }
+
+// TestAllSharesOneSet: All hands out the same immutable compilers on
+// every call, in a slice the caller owns.
+func TestAllSharesOneSet(t *testing.T) {
+	a, b := All(), All()
+	if len(a) != 3 || a[0].Name() != "groovyc" || a[1].Name() != "kotlinc" || a[2].Name() != "javac" {
+		t.Fatalf("All() = %v, want groovyc, kotlinc, javac", a)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("All()[%d] rebuilt: compilers must be shared across calls", i)
+		}
+	}
+	a[0] = nil
+	if All()[0] == nil {
+		t.Error("All() returned a slice aliasing the shared set")
+	}
+}

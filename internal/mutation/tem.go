@@ -189,25 +189,22 @@ func dropMethod(points []ErasedPoint, method string) []ErasedPoint {
 // bounds pathological inputs.
 func maximalPreservingSet(g *typegraph.Graph, nodes []*typegraph.Candidate, tried *int) []*typegraph.Candidate {
 	const maxChecks = 4096
+	buf := make([]*typegraph.Candidate, len(nodes))
 	for k := len(nodes); k >= 1; k-- {
-		var found []*typegraph.Candidate
+		combo, found := buf[:k], false
 		combinations(len(nodes), k, func(idx []int) bool {
 			*tried++
 			if *tried > maxChecks {
 				return false
 			}
-			combo := make([]*typegraph.Candidate, k)
 			for i, j := range idx {
 				combo[i] = nodes[j]
 			}
-			if typegraph.Preserves(g, combo...) {
-				found = combo
-				return false
-			}
-			return true
+			found = typegraph.Preserves(g, combo...)
+			return !found
 		})
-		if found != nil {
-			return found
+		if found {
+			return append([]*typegraph.Candidate(nil), combo...)
 		}
 		if *tried > maxChecks {
 			break

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checker"
-	"repro/internal/governor"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -273,10 +272,10 @@ func (b *builder) correspond(x, y occRef) ([]position, []position) {
 		return positionsOf(x), positionsOf(y)
 	}
 	// Try climbing y's hierarchy to x's constructor.
-	if xs, ys, ok := climb(b.g.Gov, x, y); ok {
+	if xs, ys, ok := climb(x, y); ok {
 		return xs, ys
 	}
-	if ys, xs, ok := climb(b.g.Gov, y, x); ok {
+	if ys, xs, ok := climb(y, x); ok {
 		return xs, ys
 	}
 	return nil, nil
@@ -297,13 +296,13 @@ func positionsOf(r occRef) []position {
 // climb maps sub's parameter occurrences into base's positions via sub's
 // supertype chain: S(B<T>) = A<T> aligns B's T-occurrence with A's
 // position 0.
-func climb(gov *governor.Budget, base, sub occRef) ([]position, []position, bool) {
+func climb(base, sub occRef) ([]position, []position, bool) {
 	selfArgs := make([]types.Type, len(sub.app.Ctor.Params))
 	for i, p := range sub.app.Ctor.Params {
 		selfArgs[i] = p
 	}
 	self := sub.app.Ctor.Apply(selfArgs...)
-	for _, sup := range types.SuperChainB(gov, self) {
+	for _, sup := range types.SuperChain(self) {
 		app, ok := sup.(*types.App)
 		if !ok || !app.Ctor.Equal(base.app.Ctor) {
 			continue

@@ -72,17 +72,10 @@ type Candidate struct {
 	// HasTarget marks lambda candidates whose parameter types are
 	// recoverable from a target type.
 	HasTarget bool
-}
 
-// erasureOf unions candidates' erase sets into an edge filter.
-func erasureOf(cands []*Candidate) Erasure {
-	e := Erasure{}
-	for _, c := range cands {
-		for _, id := range c.EraseSet {
-			e[id] = true
-		}
-	}
-	return e
+	// idx caches EraseSet and VanishNodes as indices into the graph's
+	// dense view, resolved on the first query against that view.
+	idx indexed
 }
 
 // Preserves implements Definition 3.5 generalized as the paper's remark
@@ -92,25 +85,35 @@ func erasureOf(cands []*Candidate) Erasure {
 // keep its originally inferred type. This global condition subsumes the
 // per-node Definition 3.5/3.6 and prevents an erased annotation from
 // silently starving a non-candidate inference site.
+//
+// A walk that neither skips an erased decl edge nor meets a vanished node
+// visits exactly the nodes, in exactly the order, of the erasure-free
+// walk, so its inferred type is the baseline by construction; only the
+// other walks pay for the least upper bound and the comparison.
 func Preserves(g *Graph, cands ...*Candidate) bool {
-	erased := erasureOf(cands)
-	vanished := map[string]bool{}
 	for _, c := range cands {
 		if c.Kind == LambdaParams && !c.HasTarget {
 			return false
 		}
-		for _, id := range c.VanishNodes {
-			vanished[id] = true
+	}
+	v := g.frozen()
+	v.preservesState()
+	v.newQuery()
+	for _, c := range cands {
+		ix := c.indices(v)
+		for _, i := range ix.erase {
+			v.erased[i] = v.mark
+		}
+		for _, i := range ix.vanish {
+			v.vanished[i] = v.mark
 		}
 	}
-	for _, id := range g.Nodes() {
-		n := g.Node(id)
-		if (!n.IsDecl && n.Param == nil) || n.Rigid || vanished[id] {
+	for _, i := range v.checked {
+		if v.vanished[i] == v.mark {
 			continue
 		}
-		before := g.BaselineInfer(id)
-		after := g.InferBlocked(id, erased, vanished)
-		if !before.Equal(after) {
+		v.walk(i)
+		if v.touched && !v.base[i].Equal(v.infer()) {
 			return false
 		}
 	}
@@ -134,7 +137,17 @@ func (c *Candidate) RelevanceNodes() []string {
 // candidate's relevance nodes — the quantity type relevance
 // (Definition 3.7) is stated over.
 func InferAfterErasure(g *Graph, c *Candidate, node string) types.Type {
-	return g.Infer(node, erasureOf([]*Candidate{c}))
+	v := g.frozen()
+	i, ok := v.indexOf(node)
+	if !ok {
+		return types.Bottom{}
+	}
+	v.newQuery()
+	for _, j := range c.indices(v).erase {
+		v.erased[j] = v.mark
+	}
+	v.walk(i)
+	return v.infer()
 }
 
 // RelevantTo implements Definition 3.7: node n (a relevance node of
@@ -148,5 +161,5 @@ func RelevantTo(g *Graph, c *Candidate, node string, t types.Type) bool {
 		// relevant (unsafe to overwrite blindly).
 		return true
 	}
-	return types.IsSubtypeB(g.Gov, inf, t)
+	return types.IsSubtype(inf, t)
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/governor"
 	"repro/internal/types"
 )
 
@@ -61,6 +60,10 @@ type Node struct {
 	// occurrence nodes, a rigid parameter is itself a valid type the
 	// compiler knows — it acts as a concrete source for inference.
 	Rigid bool
+
+	// idx is the node's insertion index in its graph, which is also its
+	// index in the graph's dense view.
+	idx int32
 }
 
 func (n *Node) String() string { return n.ID }
@@ -81,27 +84,16 @@ type Graph struct {
 	// Figure 6).
 	Candidates []*Candidate
 
-	// Gov, when set, meters the graph's inference walks: VisitedTypes
-	// charges per visited node and InferBlocked runs its least upper
-	// bounds through types.LubB, so a guarded budget bounds pathological
-	// inference the same way it bounds the checker's relations. Nil means
-	// unmetered (the mutation pipeline's default).
-	Gov *governor.Budget
-
-	// Memoized query state, dropped on any mutation. Preserves is called
-	// once per candidate combination (worst case thousands of times per
-	// graph) and both the sorted node list and the erasure-free baseline
-	// inference are combination-independent, so recomputing them per call
-	// dominated the whole mutation. A graph is built and then queried by a
-	// single goroutine, so the memos need no locking.
-	sortedIDs []string
-	baseInfer map[string]types.Type
+	// view is the dense form every inference query runs on, built on the
+	// first query and dropped on any mutation. Preserves is called once per
+	// candidate combination (worst case thousands of times per graph), so
+	// everything combination-independent — node order, adjacency, baseline
+	// inference, scratch marks — lives here. A graph is built and then
+	// queried by a single goroutine, so the view needs no locking.
+	view *view
 }
 
-func (g *Graph) invalidate() {
-	g.sortedIDs = nil
-	g.baseInfer = nil
-}
+func (g *Graph) invalidate() { g.view = nil }
 
 // NewGraph returns an empty type graph.
 func NewGraph() *Graph {
@@ -111,18 +103,18 @@ func NewGraph() *Graph {
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id string) *Node { return g.nodes[id] }
 
-// Nodes returns all node IDs in deterministic order. Callers must not
-// mutate the returned slice: it is memoized until the graph changes.
+// Nodes returns all node IDs in sorted order. Callers must not mutate the
+// returned slice: it is memoized until the graph changes.
 func (g *Graph) Nodes() []string {
-	if g.sortedIDs == nil {
-		ids := make([]string, 0, len(g.nodes))
-		for id := range g.nodes {
-			ids = append(ids, id)
+	v := g.frozen()
+	if v.ids == nil {
+		v.ids = make([]string, len(v.nodes))
+		for i, n := range v.nodes {
+			v.ids[i] = n.ID
 		}
-		sort.Strings(ids)
-		g.sortedIDs = ids
+		sort.Strings(v.ids)
 	}
-	return g.sortedIDs
+	return v.ids
 }
 
 // Edges returns the out-edges of a node.
@@ -145,6 +137,7 @@ func (g *Graph) ensure(n *Node) *Node {
 		return existing
 	}
 	g.invalidate()
+	n.idx = int32(len(g.nodes))
 	g.nodes[n.ID] = n
 	return n
 }
@@ -197,40 +190,11 @@ type Erasure map[string]bool
 // def edges are not followed. Nodes in blocked no longer exist in the
 // mutated program (removed annotations) and are not traversed at all.
 func (g *Graph) VisitedTypes(start string, erased Erasure, blocked map[string]bool) []types.Type {
-	var out []types.Type
-	seen := map[string]bool{}
-	var dfs func(id string)
-	dfs = func(id string) {
-		g.Gov.Charge(1)
-		if seen[id] || (blocked != nil && blocked[id] && id != start) {
-			return
-		}
-		seen[id] = true
-		n := g.nodes[id]
-		if n == nil {
-			return
-		}
-		if n.Type != nil && id != start {
-			out = append(out, n.Type)
-		}
-		if n.Rigid && id != start {
-			// A rigid scope parameter is itself a known type.
-			out = append(out, n.Param)
-		}
-		for _, e := range g.out[id] {
-			switch e.Kind {
-			case DeclEdge:
-				if erased != nil && erased[id] {
-					continue // this node's decl edges are erased
-				}
-				dfs(e.To)
-			case InfEdge:
-				dfs(e.To)
-			}
-		}
+	v, ok := g.query(start, erased, blocked)
+	if !ok {
+		return nil
 	}
-	dfs(start)
-	return out
+	return append([]types.Type(nil), v.buf...)
 }
 
 // Infer implements Definition 3.3: infer(G, n) = ⊔ visitedTypes(G, n),
@@ -242,24 +206,35 @@ func (g *Graph) Infer(start string, erased Erasure) types.Type {
 // BaselineInfer is Infer(start, nil) memoized per graph — the erasure-free
 // inference Preserves compares every candidate combination against.
 func (g *Graph) BaselineInfer(start string) types.Type {
-	if t, ok := g.baseInfer[start]; ok {
-		return t
+	v := g.frozen()
+	i, ok := v.indexOf(start)
+	if !ok {
+		return types.Bottom{}
 	}
-	t := g.Infer(start, nil)
-	if g.baseInfer == nil {
-		g.baseInfer = make(map[string]types.Type, len(g.nodes))
-	}
-	g.baseInfer[start] = t
-	return t
+	return v.baseline(i)
 }
 
 // InferBlocked is Infer with a set of non-traversable (vanished) nodes.
 func (g *Graph) InferBlocked(start string, erased Erasure, blocked map[string]bool) types.Type {
-	ts := g.VisitedTypes(start, erased, blocked)
-	if len(ts) == 0 {
+	v, ok := g.query(start, erased, blocked)
+	if !ok {
 		return types.Bottom{}
 	}
-	return types.LubB(g.Gov, ts...)
+	return v.infer()
+}
+
+// query walks from start under a map-based erasure and blocked set; false
+// means start names no node, which visits nothing.
+func (g *Graph) query(start string, erased Erasure, blocked map[string]bool) (*view, bool) {
+	v := g.frozen()
+	i, ok := v.indexOf(start)
+	if !ok {
+		return nil, false
+	}
+	v.newQuery()
+	v.markMaps(erased, blocked)
+	v.walk(i)
+	return v, true
 }
 
 // Dot renders the graph in Graphviz format; decl nodes are red boxes, type

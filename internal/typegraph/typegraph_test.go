@@ -93,7 +93,7 @@ func TestFigure6ReturnNotPreserved(t *testing.T) {
 	if Preserves(g, ret) {
 		t.Error("m.ret must NOT preserve its type (A<String> → B<String>)")
 	}
-	after := g.Infer(ret.NodeID, erasureOf([]*Candidate{ret}))
+	after := g.Infer(ret.NodeID, refErasureOf([]*Candidate{ret}))
 	if after.String() != "B<String>" {
 		t.Errorf("infer after erasing m.ret = %s, want B<String>", after)
 	}

@@ -203,6 +203,8 @@ func (b *builder) walkNew(n *ir.New) occRef {
 		return occRef{node: b.g.AddTypeNode(static).ID}
 	}
 	cls := b.a.Env.Class(app.Ctor.TypeName)
+	// A diamond carries no declared arguments, so its occurrences get inf
+	// edges.
 	explicit := n.TypeArgs != nil
 	kind := InfEdge
 	if explicit {
@@ -210,12 +212,6 @@ func (b *builder) walkNew(n *ir.New) occRef {
 	}
 	ref := b.registerType(app, kind, nil)
 	ref.receptive = true // diamonds are inferred from their target type
-	if !explicit {
-		// Diamond: the instantiation carries no declared arguments —
-		// remove the decl-ness by rebuilding with inf edges (registerType
-		// already used InfEdge via kind).
-		_ = kind
-	}
 	if explicit && cls != nil {
 		b.g.Candidates = append(b.g.Candidates, &Candidate{
 			Kind:         NewTypeArgs,
@@ -336,18 +332,11 @@ func (b *builder) walkCall(call *ir.Call) occRef {
 	var sig checker.MethodSig
 	var found bool
 	if call.Recv != nil {
-		recvRef := b.walkExpr(call.Recv)
-		_ = recvRef
+		b.walkExpr(call.Recv)
 		recvType := b.staticType(call.Recv)
 		sig, found = b.a.Env.MethodOf(recvType, call.Name)
 	} else {
 		sig, found = b.a.Env.TopLevelSig(call.Name)
-		if !found {
-			// Lambda-typed variable invocation: closure().
-			if ref, ok := b.varOcc[call.Name]; ok {
-				_ = ref
-			}
-		}
 	}
 	static := b.staticType(call)
 	if !found {
