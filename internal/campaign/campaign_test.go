@@ -34,7 +34,7 @@ func TestCampaignRunFindsBugs(t *testing.T) {
 		if rec.Bug.Compiler != "groovyc" {
 			t.Errorf("%s: wrong compiler %s", id, rec.Bug.Compiler)
 		}
-		if rec.Hits == 0 || len(rec.FoundBy) == 0 {
+		if rec.Hits == 0 || rec.FoundBy.Len() == 0 {
 			t.Errorf("%s: empty record", id)
 		}
 	}

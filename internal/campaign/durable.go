@@ -672,13 +672,7 @@ func writeMeta(store *journal.Store, meta metaState) error {
 func foundStates(found map[string]*BugRecord) []foundState {
 	out := make([]foundState, 0, len(found))
 	for id, rec := range found {
-		fs := foundState{ID: id, FirstSeed: rec.FirstSeed, Hits: rec.Hits}
-		for k, on := range rec.FoundBy {
-			if on {
-				fs.FoundBy = append(fs.FoundBy, k)
-			}
-		}
-		sort.Slice(fs.FoundBy, func(i, j int) bool { return fs.FoundBy[i] < fs.FoundBy[j] })
+		fs := foundState{ID: id, FoundBy: rec.FoundBy.Kinds(), FirstSeed: rec.FirstSeed, Hits: rec.Hits}
 		out = append(out, fs)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -692,14 +686,8 @@ func diffStates(diffs map[string]*DisagreementRecord) []diffState {
 	for id, rec := range diffs {
 		ds := diffState{
 			ID: id, Translators: rec.Translators, Vector: rec.Vector,
-			Suspects: rec.Suspects, FirstSeed: rec.FirstSeed, Hits: rec.Hits,
+			Suspects: rec.Suspects, FoundBy: rec.FoundBy.Kinds(), FirstSeed: rec.FirstSeed, Hits: rec.Hits,
 		}
-		for k, on := range rec.FoundBy {
-			if on {
-				ds.FoundBy = append(ds.FoundBy, k)
-			}
-		}
-		sort.Slice(ds.FoundBy, func(i, j int) bool { return ds.FoundBy[i] < ds.FoundBy[j] })
 		out = append(out, ds)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -707,15 +695,13 @@ func diffStates(diffs map[string]*DisagreementRecord) []diffState {
 }
 
 // unionKinds merges a FoundBy set into a sorted kind list.
-func unionKinds(have []oracle.InputKind, add map[oracle.InputKind]bool) []oracle.InputKind {
+func unionKinds(have []oracle.InputKind, add oracle.KindSet) []oracle.InputKind {
 	seen := map[oracle.InputKind]bool{}
 	for _, k := range have {
 		seen[k] = true
 	}
-	for k, on := range add {
-		if on {
-			seen[k] = true
-		}
+	for _, k := range add.Kinds() {
+		seen[k] = true
 	}
 	out := make([]oracle.InputKind, 0, len(seen))
 	for k := range seen {

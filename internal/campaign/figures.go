@@ -79,10 +79,8 @@ func (r *Report) DiffSummary() *Table {
 			source = "translators"
 		}
 		var kinds []string
-		for k, on := range rec.FoundBy {
-			if on {
-				kinds = append(kinds, k.String())
-			}
+		for _, k := range rec.FoundBy.Kinds() {
+			kinds = append(kinds, k.String())
 		}
 		sort.Strings(kinds)
 		t.Rows = append(t.Rows, []string{

@@ -47,7 +47,7 @@ func TestSynthCampaignProducesSynthesizedUnits(t *testing.T) {
 	// catches the simulated compiler mis-rejecting API-heavy programs.
 	synthBugs := 0
 	for _, rec := range report.Found {
-		if rec.FoundBy[oracle.Synthesized] {
+		if rec.FoundBy.Has(oracle.Synthesized) {
 			synthBugs++
 		}
 	}
@@ -64,7 +64,7 @@ func TestSynthCampaignProducesSynthesizedUnits(t *testing.T) {
 	}
 	// And the attribution label knows about the new kind.
 	for id, rec := range report.Found {
-		if rec.FoundBy[oracle.Synthesized] && len(rec.FoundBy) == 1 {
+		if rec.FoundBy.Has(oracle.Synthesized) && rec.FoundBy.Len() == 1 {
 			if got := rec.Technique(); got != "Synthesized" {
 				t.Errorf("%s: Technique() = %q, want Synthesized", id, got)
 			}
@@ -240,7 +240,7 @@ func TestSynthCorpusMergeAcrossKinds(t *testing.T) {
 	}
 	synthOnly, overlap := 0, 0
 	for id, rec := range syn.Found {
-		if !rec.FoundBy[oracle.Synthesized] {
+		if !rec.FoundBy.Has(oracle.Synthesized) {
 			continue
 		}
 		synthOnly++

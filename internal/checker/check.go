@@ -427,7 +427,7 @@ func (c *checker) checkTypeWellFormed(t types.Type, what string) {
 	if !ok {
 		return
 	}
-	sigma := types.NewSubstitution()
+	sigma := types.NewSubstitutionCap(len(app.Ctor.Params))
 	for i, p := range app.Ctor.Params {
 		arg := app.Args[i]
 		if proj, isProj := arg.(*types.Projection); isProj {

@@ -31,8 +31,9 @@ type MethodSig struct {
 	// Owner is the declaring class, or nil for top-level functions.
 	Owner *ir.ClassDecl
 	Decl  *ir.FuncDecl
-	// Sigma is the receiver substitution the signature was viewed under;
-	// an inferred return type (Decl.Ret == nil) must be run through it.
+	// Sigma is the receiver substitution the signature was viewed under
+	// (nil, the identity, when the receiver has no type arguments); an
+	// inferred return type (Decl.Ret == nil) must be run through it.
 	Sigma *types.Substitution
 }
 
@@ -98,17 +99,18 @@ func (e *Env) ClassType(name string) types.Type {
 
 // receiverSubstitution maps a receiver type (Simple or App) to its class
 // declaration and the substitution from the class's type parameters to the
-// receiver's type arguments.
+// receiver's type arguments. A receiver without type arguments gets the nil
+// (identity) substitution.
 func (e *Env) receiverSubstitution(recv types.Type) (*ir.ClassDecl, *types.Substitution) {
-	sigma := types.NewSubstitution()
 	switch r := recv.(type) {
 	case *types.Simple:
-		return e.classes[r.TypeName], sigma
+		return e.classes[r.TypeName], nil
 	case *types.App:
 		cls := e.classes[r.Ctor.TypeName]
 		if cls == nil {
-			return nil, sigma
+			return nil, nil
 		}
+		sigma := types.NewSubstitutionCap(len(r.Ctor.Params))
 		for i, p := range r.Ctor.Params {
 			arg := r.Args[i]
 			if proj, ok := arg.(*types.Projection); ok {
@@ -123,7 +125,7 @@ func (e *Env) receiverSubstitution(recv types.Type) (*ir.ClassDecl, *types.Subst
 		// Members of a type parameter come from its upper bound.
 		return e.receiverSubstitution(r.UpperBound())
 	}
-	return nil, sigma
+	return nil, nil
 }
 
 // FieldsOf returns the fields accessible on a receiver of type recv,
@@ -237,7 +239,7 @@ func (e *Env) TopLevelSig(name string) (MethodSig, bool) {
 	if f == nil {
 		return MethodSig{}, false
 	}
-	return e.substituteSig(f, nil, types.NewSubstitution()), true
+	return e.substituteSig(f, nil, nil), true
 }
 
 // substituteSig projects a FuncDecl into a MethodSig under sigma. A nil
@@ -277,7 +279,8 @@ func SelfType(cls *ir.ClassDecl) types.Type {
 
 // ConstructorParams returns the constructor parameter types of a class
 // instantiation: the class's own fields in declaration order, with the
-// instantiation substitution applied (Kotlin primary-constructor style).
+// instantiation substitution applied (Kotlin primary-constructor style). A
+// nil sigma leaves the class's own type parameters in place.
 func (e *Env) ConstructorParams(cls *ir.ClassDecl, sigma *types.Substitution) []types.Type {
 	out := make([]types.Type, len(cls.Fields))
 	for i, f := range cls.Fields {

@@ -106,7 +106,7 @@ func (c *checker) checkArgsUnconstrained(sc *scope, args []ir.Expr) {
 // [var param method call] flows of Figure 5.
 func (c *checker) checkGenericCall(sc *scope, call *ir.Call, sig MethodSig, expected types.Type) types.Type {
 	c.probes.Func("infer.genericCall")
-	sigma := types.NewSubstitution()
+	sigma := types.NewSubstitutionCap(len(sig.TypeParams))
 
 	if call.TypeArgs != nil {
 		c.probes.Branch("infer.genericCall.explicit", true)
@@ -278,7 +278,7 @@ func (c *checker) typeOfNew(sc *scope, n *ir.New, expected types.Type) types.Typ
 		if decl.Kind != ir.RegularClass {
 			c.errorf(IllegalDeclaration, "cannot instantiate %s", decl.Name)
 		}
-		want := c.env.ConstructorParams(decl, types.NewSubstitution())
+		want := c.env.ConstructorParams(decl, nil)
 		c.checkCtorArgs(sc, n, decl.Name, want)
 		return cls
 
@@ -335,14 +335,14 @@ func (c *checker) checkCtorArgs(sc *scope, n *ir.New, name string, want []types.
 // the information flow the GROOVY-10080 example exercises.
 func (c *checker) inferDiamond(sc *scope, n *ir.New, decl *ir.ClassDecl, ctor *types.Constructor, expected types.Type) types.Type {
 	c.probes.Func("infer.diamondCall")
-	fieldTypes := c.env.ConstructorParams(decl, types.NewSubstitution())
+	fieldTypes := c.env.ConstructorParams(decl, nil)
 	if len(n.Args) != len(fieldTypes) {
 		c.errorf(ArityMismatch, "constructor of %s expects %d arguments, got %d",
 			decl.Name, len(fieldTypes), len(n.Args))
 		c.checkArgsUnconstrained(sc, n.Args)
 		return types.Top{}
 	}
-	sigma := types.NewSubstitution()
+	sigma := types.NewSubstitutionCap(len(ctor.Params))
 	argTypes := make([]types.Type, len(n.Args))
 	for i, a := range n.Args {
 		if c.argNeedsTarget(sc, a) {
@@ -419,18 +419,6 @@ func mentionsAny(t types.Type, params []*types.Parameter) bool {
 		}
 	}
 	return false
-}
-
-// restrictTo filters a substitution to the given parameters, dropping
-// incidental bindings unification may have picked up from nested types.
-func restrictTo(s *types.Substitution, params []*types.Parameter) *types.Substitution {
-	out := types.NewSubstitution()
-	for _, p := range params {
-		if t, ok := s.Lookup(p); ok {
-			out.Bind(p, t)
-		}
-	}
-	return out
 }
 
 // mergeLowerBounds folds argument-derived bindings into sigma. Arguments

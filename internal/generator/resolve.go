@@ -127,7 +127,7 @@ func (g *Generator) tryCall(recv ir.Expr, name string, tps []*types.Parameter,
 
 func owned(p *types.Parameter, tps []*types.Parameter) bool {
 	for _, tp := range tps {
-		if tp.ID() == p.ID() {
+		if tp.Equal(p) {
 			return true
 		}
 	}

@@ -115,11 +115,15 @@ func DefaultLatencyBounds() []int64 {
 	return bounds
 }
 
+// defaultBounds is the DefaultLatencyBounds layout shared by every
+// histogram built without bounds; histograms never write their bounds.
+var defaultBounds = DefaultLatencyBounds()
+
 // NewHistogram returns a histogram over the given ascending upper
 // bounds; nil bounds mean DefaultLatencyBounds.
 func NewHistogram(bounds []int64) *Histogram {
 	if bounds == nil {
-		bounds = DefaultLatencyBounds()
+		bounds = defaultBounds
 	}
 	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 	h.min.Store(math.MaxInt64)

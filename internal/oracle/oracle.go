@@ -8,6 +8,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/compilers"
 )
@@ -123,6 +124,37 @@ func (k InputKind) Mutable() bool {
 // derivation is noise.
 func (k InputKind) ConformanceCheckable() bool {
 	return k.Known() && kindSpecs[k].conformance
+}
+
+// KindSet is a set of input kinds, one bit per kind. It covers every
+// defined kind and the kinds a newer build may add, up to 64 in all; a
+// kind outside [0, 64) is not representable and Add ignores it.
+type KindSet uint64
+
+// Add puts k in the set.
+func (s *KindSet) Add(k InputKind) {
+	if k >= 0 && k < 64 {
+		*s |= 1 << k
+	}
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k InputKind) bool { return k >= 0 && k < 64 && s&(1<<k) != 0 }
+
+// Len returns the number of kinds in the set.
+func (s KindSet) Len() int { return bits.OnesCount64(uint64(s)) }
+
+// Kinds returns the kinds in the set in ascending order; nil for the
+// empty set.
+func (s KindSet) Kinds() []InputKind {
+	if s == 0 {
+		return nil
+	}
+	out := make([]InputKind, 0, s.Len())
+	for rest := uint64(s); rest != 0; rest &= rest - 1 {
+		out = append(out, InputKind(bits.TrailingZeros64(rest)))
+	}
+	return out
 }
 
 // Verdict classifies one compilation against the oracle.

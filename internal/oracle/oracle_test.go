@@ -241,3 +241,35 @@ func TestUnknownValuesNeverMislabel(t *testing.T) {
 		t.Errorf("Crashed.String() = %q", got)
 	}
 }
+
+// TestKindSet checks the bit-set against a map-backed set: kinds a
+// newer build may add (up to 63) round-trip like the defined ones, and
+// Kinds lists them ascending.
+func TestKindSet(t *testing.T) {
+	var s oracle.KindSet
+	if s.Len() != 0 || s.Kinds() != nil || s.Has(oracle.Generated) {
+		t.Fatalf("zero KindSet is not empty: len %d kinds %v", s.Len(), s.Kinds())
+	}
+	add := []oracle.InputKind{oracle.Synthesized, oracle.TEMMutant, 9, oracle.TEMMutant, 63, oracle.Generated}
+	want := map[oracle.InputKind]bool{}
+	for _, k := range add {
+		s.Add(k)
+		want[k] = true
+	}
+	for n := -2; n < 70; n++ {
+		k := oracle.InputKind(n)
+		if s.Has(k) != want[k] {
+			t.Errorf("Has(%d) = %v, want %v", n, s.Has(k), want[k])
+		}
+	}
+	got := fmt.Sprint(s.Kinds())
+	if exp := fmt.Sprint([]oracle.InputKind{oracle.Generated, oracle.TEMMutant, oracle.Synthesized, 9, 63}); got != exp || s.Len() != 5 {
+		t.Errorf("Kinds() = %s (len %d), want %s (len 5)", got, s.Len(), exp)
+	}
+	before := s
+	s.Add(-1)
+	s.Add(64)
+	if s != before {
+		t.Errorf("Add of a kind outside [0, 64) changed the set: %b -> %b", before, s)
+	}
+}

@@ -1,84 +1,105 @@
 package types
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/governor"
 )
 
 // Substitution is a finite map [α ↦ t] from type parameters to types
-// (Definition 3.1). Keys are parameter IDs; Params retains the *Parameter
-// for each key so substitutions can be enumerated.
+// (Definition 3.1), keyed by parameter identity (Parameter.ID). It is a
+// short slice of bindings searched linearly: substitutions bind a handful
+// of parameters, and a scan comparing parameters piecewise (sameParam)
+// allocates nothing, where a map keyed by ID would build the ID string on
+// every Bind and Lookup. A nil *Substitution reads as the empty one.
 type Substitution struct {
-	bindings map[string]Type
-	params   map[string]*Parameter
+	binds []binding
+}
+
+// binding is one [p ↦ t]. p is the *Parameter of the latest Bind of its
+// ID, so Domain enumerates the parameters callers last bound.
+type binding struct {
+	p *Parameter
+	t Type
 }
 
 // NewSubstitution returns an empty substitution.
-func NewSubstitution() *Substitution {
-	return &Substitution{
-		bindings: map[string]Type{},
-		params:   map[string]*Parameter{},
-	}
+func NewSubstitution() *Substitution { return &Substitution{} }
+
+// NewSubstitutionCap returns an empty substitution with room for n
+// bindings, so binding a constructor's n parameters allocates once.
+func NewSubstitutionCap(n int) *Substitution {
+	return &Substitution{binds: make([]binding, 0, n)}
 }
 
-// Bind records [p ↦ t]. Rebinding the same parameter to an equal type is a
-// no-op; rebinding to a different type overwrites (callers that need
-// conflict detection use Merge).
+// Bind records [p ↦ t], replacing any binding of a parameter with p's ID
+// (callers that need conflict detection use Merge).
 func (s *Substitution) Bind(p *Parameter, t Type) {
-	s.bindings[p.ID()] = t
-	s.params[p.ID()] = p
+	for i := range s.binds {
+		if sameParam(s.binds[i].p, p) {
+			s.binds[i] = binding{p, t}
+			return
+		}
+	}
+	s.binds = append(s.binds, binding{p, t})
 }
 
 // Lookup returns the binding for p, if any.
 func (s *Substitution) Lookup(p *Parameter) (Type, bool) {
-	t, ok := s.bindings[p.ID()]
-	return t, ok
+	if s != nil {
+		for _, bd := range s.binds {
+			if sameParam(bd.p, p) {
+				return bd.t, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // Len returns the number of bound parameters.
-func (s *Substitution) Len() int { return len(s.bindings) }
+func (s *Substitution) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.binds)
+}
 
 // IsEmpty reports whether no parameter is bound.
-func (s *Substitution) IsEmpty() bool { return len(s.bindings) == 0 }
+func (s *Substitution) IsEmpty() bool { return s.Len() == 0 }
 
 // Domain returns the bound parameters in deterministic (ID-sorted) order.
 func (s *Substitution) Domain() []*Parameter {
-	ids := make([]string, 0, len(s.params))
-	for id := range s.params {
-		ids = append(ids, id)
+	out := make([]*Parameter, s.Len())
+	for i := range out {
+		out[i] = s.binds[i].p
 	}
-	sort.Strings(ids)
-	out := make([]*Parameter, len(ids))
-	for i, id := range ids {
-		out[i] = s.params[id]
-	}
+	slices.SortFunc(out, compareID)
 	return out
 }
 
 // Clone returns an independent copy of the substitution.
 func (s *Substitution) Clone() *Substitution {
-	c := NewSubstitution()
-	for id, t := range s.bindings {
-		c.bindings[id] = t
-		c.params[id] = s.params[id]
+	if s == nil {
+		return NewSubstitution()
 	}
-	return c
+	return &Substitution{binds: slices.Clone(s.binds)}
 }
 
-// Merge combines s with other, returning false on a conflicting binding
-// (the same parameter bound to unequal types).
+// Merge adds other's bindings to s. It returns false on a conflicting
+// binding (the same parameter bound to unequal types), and a failed Merge
+// leaves s unchanged.
 func (s *Substitution) Merge(other *Substitution) bool {
 	if other == nil {
 		return true
 	}
-	for id, t := range other.bindings {
-		if prev, ok := s.bindings[id]; ok && !prev.Equal(t) {
+	for _, bd := range other.binds {
+		if prev, ok := s.Lookup(bd.p); ok && !prev.Equal(bd.t) {
 			return false
 		}
-		s.bindings[id] = t
-		s.params[id] = other.params[id]
+	}
+	for _, bd := range other.binds {
+		s.Bind(bd.p, bd.t)
 	}
 	return true
 }
@@ -96,7 +117,7 @@ func (s *Substitution) Apply(t Type) Type { return s.ApplyB(nil, t) }
 // metering per node (rather than per call) is what makes fuel exhaustion
 // track the real cost.
 func (s *Substitution) ApplyB(b *governor.Budget, t Type) Type {
-	if t == nil || s == nil || len(s.bindings) == 0 {
+	if t == nil || s.IsEmpty() {
 		return t
 	}
 	b.Charge(1)
@@ -109,7 +130,7 @@ func (s *Substitution) ApplyB(b *governor.Budget, t Type) Type {
 func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	switch tt := t.(type) {
 	case *Parameter:
-		if bound, ok := s.bindings[tt.ID()]; ok {
+		if bound, ok := s.Lookup(tt); ok {
 			return bound
 		}
 		return tt
@@ -147,12 +168,11 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	case *Constructor:
 		// Substituting under a binder: Definition 3.1 substitutes only
 		// free parameters, so skip the constructor's own parameters.
-		inner := s.Clone()
-		for _, p := range tt.Params {
-			delete(inner.bindings, p.ID())
-			delete(inner.params, p.ID())
+		if tt.Super == nil {
+			return tt
 		}
-		if tt.Super == nil || len(inner.bindings) == 0 {
+		inner := s.without(tt.Params)
+		if inner == nil {
 			return tt
 		}
 		return &Constructor{
@@ -166,10 +186,35 @@ func (s *Substitution) applyWalk(b *governor.Budget, t Type) Type {
 	}
 }
 
+// without returns s minus the bindings of params: s itself when it binds
+// none of them, nil when it binds nothing else.
+func (s *Substitution) without(params []*Parameter) *Substitution {
+	shadowed := 0
+	for _, bd := range s.binds {
+		if hasParam(params, bd.p) {
+			shadowed++
+		}
+	}
+	switch shadowed {
+	case 0:
+		return s
+	case len(s.binds):
+		return nil
+	}
+	kept := make([]binding, 0, len(s.binds)-shadowed)
+	for _, bd := range s.binds {
+		if !hasParam(params, bd.p) {
+			kept = append(kept, bd)
+		}
+	}
+	return &Substitution{binds: kept}
+}
+
 func (s *Substitution) String() string {
-	parts := make([]string, 0, len(s.bindings))
+	parts := make([]string, 0, s.Len())
 	for _, p := range s.Domain() {
-		parts = append(parts, p.ID()+" ↦ "+s.bindings[p.ID()].String())
+		t, _ := s.Lookup(p)
+		parts = append(parts, p.ID()+" ↦ "+t.String())
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
 }

@@ -71,7 +71,7 @@ func SupertypeB(b *governor.Budget, t Type) Type {
 // application's arguments substituted for the parameters. The caller has
 // already checked Super != nil and the arity.
 func appSupertype(b *governor.Budget, tt *App) Type {
-	sigma := NewSubstitution()
+	sigma := NewSubstitutionCap(len(tt.Ctor.Params))
 	for i, p := range tt.Ctor.Params {
 		sigma.Bind(p, tt.Args[i])
 	}

@@ -17,6 +17,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -140,7 +141,66 @@ func (p *Parameter) String() string {
 
 func (p *Parameter) Equal(o Type) bool {
 	op, ok := o.(*Parameter)
-	return ok && op.ID() == p.ID()
+	return ok && sameParam(op, p)
+}
+
+// sameParam reports p.ID() == q.ID() without building either ID, so
+// parameter identity costs no allocation. Like the IDs it also holds
+// across the dot collision (Owner "A.B" name "C" is Owner "A" name "B.C").
+func sameParam(p, q *Parameter) bool {
+	if p == q {
+		return true
+	}
+	if len(p.Owner)+len(p.ParamName) != len(q.Owner)+len(q.ParamName) {
+		return false
+	}
+	if len(p.Owner) == len(q.Owner) {
+		return p.Owner == q.Owner && p.ParamName == q.ParamName
+	}
+	return compareID(p, q) == 0
+}
+
+// compareID orders parameters as strings.Compare(p.ID(), q.ID()) does,
+// without building either ID.
+func compareID(p, q *Parameter) int {
+	if len(p.Owner) == len(q.Owner) {
+		if c := strings.Compare(p.Owner, q.Owner); c != 0 {
+			return c
+		}
+		return strings.Compare(p.ParamName, q.ParamName)
+	}
+	n, m := len(p.Owner)+1+len(p.ParamName), len(q.Owner)+1+len(q.ParamName)
+	for i := 0; i < n && i < m; i++ {
+		if a, b := idByte(p, i), idByte(q, i); a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return cmp.Compare(n, m)
+}
+
+// idByte returns p.ID()[i].
+func idByte(p *Parameter, i int) byte {
+	switch {
+	case i < len(p.Owner):
+		return p.Owner[i]
+	case i == len(p.Owner):
+		return '.'
+	default:
+		return p.ParamName[i-len(p.Owner)-1]
+	}
+}
+
+// hasParam reports whether ps contains a parameter with p's ID.
+func hasParam(ps []*Parameter, p *Parameter) bool {
+	for _, q := range ps {
+		if sameParam(q, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // UpperBound returns the declared bound, or ⊤ when unbounded.
@@ -331,7 +391,7 @@ func IsParameterized(t Type) bool {
 func ContainsParameter(t Type, p *Parameter) bool {
 	switch tt := t.(type) {
 	case *Parameter:
-		return tt.ID() == p.ID()
+		return sameParam(tt, p)
 	case *App:
 		for _, a := range tt.Args {
 			if ContainsParameter(a, p) {
@@ -394,13 +454,11 @@ func HasFreeParameters(t Type) bool {
 // order and without duplicates.
 func FreeParameters(t Type) []*Parameter {
 	var out []*Parameter
-	seen := map[string]bool{}
 	var walk func(Type)
 	walk = func(t Type) {
 		switch tt := t.(type) {
 		case *Parameter:
-			if !seen[tt.ID()] {
-				seen[tt.ID()] = true
+			if !hasParam(out, tt) {
 				out = append(out, tt)
 			}
 		case *App:

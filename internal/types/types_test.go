@@ -259,10 +259,17 @@ func TestSubstitutionMergeConflicts(t *testing.T) {
 	if !s1.Merge(s2) {
 		t.Error("merging equal bindings must succeed")
 	}
+	// s3 binds a fresh parameter before the conflicting one: a failed
+	// merge must not have taken it.
+	q := NewParameter("m", "U")
 	s3 := NewSubstitution()
+	s3.Bind(q, b.Long)
 	s3.Bind(p, b.String)
 	if s1.Merge(s3) {
 		t.Error("conflicting bindings must fail to merge")
+	}
+	if got := s1.String(); got != "[m.T ↦ Int]" {
+		t.Errorf("a failed merge changed its receiver: %s, want [m.T ↦ Int]", got)
 	}
 }
 
